@@ -13,8 +13,9 @@ Layers:
 * :mod:`~repro.chunks.placement` — the seeded deterministic stripe
   placement policy;
 * :mod:`~repro.chunks.directory` — the ``chunk.*`` bus service
-  (init / commit / manifest / repair_done, txn-idempotent like
-  ``task.*``) plus its site-side proxy;
+  (init / commit / manifest / repair_done; writes are idempotent calls
+  the request server's exactly-once middleware applies once) plus its
+  site-side proxy;
 * :mod:`~repro.chunks.store` — the per-site client: ``put_object``
   (chunk, place, upload, verify, commit) and ``fetch_object``
   (any-k-of-n reconstruction with ranked failover);

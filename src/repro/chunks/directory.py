@@ -12,10 +12,11 @@ The upload protocol is DFS-style and crash-safe:
     After the per-chunk transfers verified, flips the manifest to
     ``committed``, records the chunk replica locations, bumps chunk
     refcounts, and registers the manifest record in the replica catalog
-    *exactly once* — the handler is txn-idempotent like the ``task.*``
-    ops (a crash-replayed commit returns the stored verdict) and the
-    catalog write itself rides the idempotent ``adopt`` path, so no
-    replay can double-register.
+    *exactly once* — the commit is an idempotent call, so the request
+    server's :class:`~repro.services.middleware.ExactlyOnceMiddleware`
+    returns the stored verdict to a retried commit, and the catalog
+    write itself rides the idempotent ``adopt`` path, so no replay can
+    double-register.
 ``chunk.manifest`` / ``chunk.list``
     Read side: manifest + current replica locations; the committed
     object inventory (what the scrub planner walks).
@@ -241,14 +242,18 @@ class ChunkDirectory:
 
 
 class ChunkDirectoryService:
-    """``chunk.*`` operations on a site's request server (txn-idempotent)."""
+    """``chunk.*`` operations on a site's request server.  The writes
+    (init, commit, repair_done) arrive as idempotent calls, applied once
+    by the server's exactly-once middleware."""
 
     def __init__(self, server: RequestServer, directory: ChunkDirectory,
                  *, metrics=None):
         self.server = server
         self.directory = directory
         self.metrics = metrics
-        self._applied: dict[str, object] = {}
+        server.exactly_once.count_replays(
+            "chunk", "chunks.txn_replays", metrics
+        )
         for op in ("init", "commit", "manifest", "list", "repair_done"):
             server.register(f"chunk.{op}", getattr(self, f"_op_{op}"))
         if metrics is not None:
@@ -270,45 +275,26 @@ class ChunkDirectoryService:
         )
         registry.gauge("chunks.replicas").set(directory.replica_count())
 
-    def _seen(self, payload) -> tuple[Optional[str], bool]:
-        txn = payload.get("txn") if isinstance(payload, dict) else None
-        if txn is not None and txn in self._applied:
-            if self.metrics is not None:
-                self.metrics.counter("chunks.txn_replays").inc()
-            return txn, True
-        return txn, False
-
     # -- handlers -----------------------------------------------------------
     def _op_init(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._seen(p)
-        if seen:
-            return self._applied[txn]
         manifest, targets, needed = self.directory.init(
             p["object"], p["size"], p["content_key"], p["k"], p["m"]
         )
         self._count("init")
-        result = {
+        return {
             "manifest": manifest.to_wire(),
             "targets": targets,
             "needed": needed,
         }
-        if txn is not None:
-            self._applied[txn] = result
-        return result
         yield  # pragma: no cover - generator marker
 
     def _op_commit(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._seen(p)
-        if seen:
-            return self._applied[txn]
         result = self.directory.commit(
             p["object"], [tuple(item) for item in p["placements"]]
         )
         self._count("commit")
-        if txn is not None:
-            self._applied[txn] = result
         return result
         yield  # pragma: no cover
 
@@ -331,17 +317,12 @@ class ChunkDirectoryService:
 
     def _op_repair_done(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._seen(p)
-        if seen:
-            return self._applied[txn]
         result = self.directory.record_repair(
             p["object"],
             [tuple(item) for item in p.get("repaired", ())],
             [tuple(item) for item in p.get("removed", ())],
         )
         self._count("repair_done")
-        if txn is not None:
-            self._applied[txn] = result
         return result
         yield  # pragma: no cover
 
@@ -353,17 +334,14 @@ class ChunkDirectoryProxy:
         self.client = client
         self.directory_host = directory_host
 
-    def _txn(self) -> str:
-        sim = self.client.sim
-        return f"{self.client.host.name}:{sim.next_serial('chunk-txn')}"
-
     def _call(self, operation: str, payload: dict,
-              n_items: int = 0) -> Process:
+              n_items: int = 0, idempotent: bool = False) -> Process:
         return self.client.call(
             self.directory_host,
             operation,
             payload,
             size=REQUEST_MESSAGE_SIZE + CHUNK_ITEM_SIZE * n_items,
+            idempotent=idempotent,
         )
 
     def init(self, object_name: str, size: float, content_key: str,
@@ -371,16 +349,14 @@ class ChunkDirectoryProxy:
         return self._call("chunk.init", {
             "object": object_name, "size": size,
             "content_key": content_key, "k": k, "m": m,
-            "txn": self._txn(),
-        }, n_items=k + m)
+        }, n_items=k + m, idempotent=True)
 
     def commit(self, object_name: str,
                placements: list[tuple[str, str]]) -> Process:
         return self._call("chunk.commit", {
             "object": object_name,
             "placements": [list(item) for item in placements],
-            "txn": self._txn(),
-        }, n_items=len(placements))
+        }, n_items=len(placements), idempotent=True)
 
     def manifest(self, object_name: str) -> Process:
         return self._call("chunk.manifest", {"object": object_name})
@@ -395,5 +371,4 @@ class ChunkDirectoryProxy:
             "object": object_name,
             "repaired": [list(item) for item in repaired],
             "removed": [list(item) for item in removed],
-            "txn": self._txn(),
-        }, n_items=len(repaired) + len(removed))
+        }, n_items=len(repaired) + len(removed), idempotent=True)

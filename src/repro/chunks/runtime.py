@@ -8,7 +8,7 @@
   manifest-registration hook into the replica catalog when the grid
   runs a central catalog backend;
 * one :class:`~repro.chunks.store.ChunkStoreClient` per site (each with
-  its own txn-minting directory proxy and, when the grid weather
+  its own directory proxy and, when the grid weather
   service is up, that site's forecast cache for transfer-time-aware
   chunk ordering);
 * a dedicated :class:`~repro.workload.queue.TaskQueueService` for the

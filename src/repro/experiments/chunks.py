@@ -29,8 +29,9 @@ recorded as ``repair_savings`` and floor-gated in BENCH_chunks.json.
 
 Exactly-once: chunk uploads are idempotent (content addressing +
 verify-don't-trust on 553), ``chunk.commit``/``chunk.repair_done`` are
-txn-replayed, repair re-verifies before spending traffic, and the
-converged state must fetch byte-identical fingerprints.
+replayed to retries by the bus's exactly-once middleware, repair
+re-verifies before spending traffic, and the converged state must fetch
+byte-identical fingerprints.
 
 ``python -m repro.experiments chunks --seed=7 --campaign=site_wipe``.
 """

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.experiments.common import export_telemetry, print_table
 from repro.faults import FaultInjector, rli_blackhole_campaign

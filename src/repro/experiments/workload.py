@@ -42,7 +42,6 @@ from repro.netsim.units import MB
 from repro.services.resilience import ResilienceConfig
 from repro.simulation.randomness import RandomStreams
 from repro.workload import ArrivalProfile, WorkloadEngine
-from repro.workload.components import xfer_key
 
 __all__ = ["CAMPAIGNS", "WorkloadResult", "run", "report"]
 

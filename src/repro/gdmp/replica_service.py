@@ -69,12 +69,13 @@ class ReplicaCatalogService:
         #: called with (operation, payload) after each successful write —
         #: the hook :mod:`repro.gdmp.catalog_replication` propagates from.
         self.write_listeners: list = []
-        #: transaction-id -> result of writes already applied.  A client
-        #: whose *reply* was lost retries the same write with the same
-        #: ``txn``; replaying the stored result instead of re-applying
-        #: keeps writes exactly-once (no duplicate LFNs from a retried
-        #: ``publish``, no double notifications).
-        self._applied: dict[str, object] = {}
+        #: writes arrive as idempotent calls: the request server's
+        #: exactly-once middleware replays a retried write's result
+        #: instead of re-applying it (no duplicate LFNs from a retried
+        #: ``publish``, no double notifications)
+        server.exactly_once.count_replays(
+            "catalog", "catalog.txn_replays", metrics
+        )
         for op in (
             "publish",
             "publish_bulk",
@@ -107,27 +108,8 @@ class ReplicaCatalogService:
         for listener in self.write_listeners:
             listener(operation, payload)
 
-    # -- exactly-once write plumbing -----------------------------------------
-    def _txn_seen(self, payload) -> tuple[Optional[str], bool]:
-        """(txn, already_applied) for an idempotent write request."""
-        txn = payload.get("txn") if isinstance(payload, dict) else None
-        if txn is not None and txn in self._applied:
-            if self.metrics is not None:
-                self.metrics.counter("catalog.txn_replays").inc()
-            return txn, True
-        return txn, False
-
-    @staticmethod
-    def _without_txn(payload: dict) -> dict:
-        """The write payload as listeners should see it (the transaction
-        id is client-side plumbing, not catalog state)."""
-        return {k: v for k, v in payload.items() if k != "txn"}
-
     def _op_publish(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._txn_seen(p)
-        if seen:
-            return self._applied[txn]
         try:
             lfn = self.catalog.publish(
                 p["site"],
@@ -139,24 +121,17 @@ class ReplicaCatalogService:
             )
         except CatalogError as exc:
             raise GdmpError(str(exc)) from exc
-        if txn is not None:
-            self._applied[txn] = lfn
-        self._notify_write("publish", {**self._without_txn(p), "lfn": lfn})
+        self._notify_write("publish", {**p, "lfn": lfn})
         return lfn
         yield  # pragma: no cover - marks this function as a generator
 
     def _op_publish_bulk(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._txn_seen(p)
-        if seen:
-            return self._applied[txn]
         self._observe_batch("publish", len(p["files"]))
         try:
             lfns = self.catalog.publish_bulk(p["site"], p["files"])
         except CatalogError as exc:
             raise GdmpError(str(exc)) from exc
-        if txn is not None:
-            self._applied[txn] = lfns
         # propagate with the generated LFNs filled in, so replicas replay
         # the registration byte-for-byte
         files = [
@@ -170,40 +145,27 @@ class ReplicaCatalogService:
 
     def _op_add_replica(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._txn_seen(p)
-        if seen:
-            return self._applied[txn]
         try:
             self.catalog.add_replica(p["lfn"], p["site"])
         except CatalogError as exc:
             raise GdmpError(str(exc)) from exc
-        if txn is not None:
-            self._applied[txn] = True
-        self._notify_write("add_replica", self._without_txn(p))
+        self._notify_write("add_replica", p)
         return True
         yield  # pragma: no cover
 
     def _op_add_replica_bulk(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._txn_seen(p)
-        if seen:
-            return self._applied[txn]
         self._observe_batch("add_replica", len(p["lfns"]))
         try:
             self.catalog.add_replicas(list(p["lfns"]), p["site"])
         except CatalogError as exc:
             raise GdmpError(str(exc)) from exc
-        if txn is not None:
-            self._applied[txn] = True
-        self._notify_write("add_replica_bulk", self._without_txn(p))
+        self._notify_write("add_replica_bulk", p)
         return True
         yield  # pragma: no cover
 
     def _op_adopt(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._txn_seen(p)
-        if seen:
-            return self._applied[txn]
         try:
             self.catalog.adopt(
                 p["lfn"],
@@ -215,58 +177,41 @@ class ReplicaCatalogService:
             )
         except CatalogError as exc:
             raise GdmpError(str(exc)) from exc
-        if txn is not None:
-            self._applied[txn] = True
-        self._notify_write("adopt", self._without_txn(p))
+        self._notify_write("adopt", p)
         return True
         yield  # pragma: no cover
 
     def _op_adopt_bulk(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._txn_seen(p)
-        if seen:
-            return self._applied[txn]
         self._observe_batch("adopt", len(p["files"]))
         try:
             self.catalog.adopt_bulk(list(p["files"]), p["site"])
         except CatalogError as exc:
             raise GdmpError(str(exc)) from exc
-        if txn is not None:
-            self._applied[txn] = True
-        notified = self._without_txn(p)
-        notified["lfns"] = [item["lfn"] for item in p["files"]]
-        self._notify_write("adopt_bulk", notified)
+        self._notify_write(
+            "adopt_bulk", {**p, "lfns": [item["lfn"] for item in p["files"]]}
+        )
         return True
         yield  # pragma: no cover
 
     def _op_remove_replica(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._txn_seen(p)
-        if seen:
-            return self._applied[txn]
         try:
             self.catalog.remove_replica(p["lfn"], p["site"])
         except CatalogError as exc:
             raise GdmpError(str(exc)) from exc
-        if txn is not None:
-            self._applied[txn] = True
-        self._notify_write("remove_replica", self._without_txn(p))
+        self._notify_write("remove_replica", p)
         return True
         yield  # pragma: no cover
 
     def _op_remove_replica_bulk(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._txn_seen(p)
-        if seen:
-            return self._applied[txn]
         self._observe_batch("remove_replica", len(p["lfns"]))
         try:
             self.catalog.remove_replicas(list(p["lfns"]), p["site"])
         except CatalogError as exc:
             raise GdmpError(str(exc)) from exc
-        if txn is not None:
-            self._applied[txn] = True
-        self._notify_write("remove_replica_bulk", self._without_txn(p))
+        self._notify_write("remove_replica_bulk", p)
         return True
         yield  # pragma: no cover
 
@@ -361,16 +306,8 @@ class CatalogProxy:
         }
 
     # -- plumbing -------------------------------------------------------------
-    def _txn(self) -> str:
-        """A fresh transaction id for one logical write.  Minted once per
-        write *process*, so transport-level retries of the same write
-        carry the same id and the catalog applies it exactly once."""
-        sim = self.client.sim
-        return (
-            f"{self.client.host.name}:{sim.next_serial('catalog-txn')}"
-        )
-
-    def _call(self, host: str, operation: str, payload, n_items: int = 0):
+    def _call(self, host: str, operation: str, payload, n_items: int = 0,
+              idempotent: bool = False):
         self.stats["envelopes"] += 1
 
         def guarded():
@@ -385,6 +322,7 @@ class CatalogProxy:
                     operation,
                     payload,
                     size=REQUEST_MESSAGE_SIZE + BULK_ITEM_SIZE * n_items,
+                    idempotent=idempotent,
                 )
             except RemoteError:
                 # The server processed the request and answered with an
@@ -404,6 +342,11 @@ class CatalogProxy:
         return self.client.sim.spawn(
             guarded(), name=f"catalog-guard {operation}"
         )
+
+    def _write(self, operation: str, payload, n_items: int = 0):
+        """An idempotent write to the primary catalog."""
+        return self._call(self.catalog_host, operation, payload, n_items,
+                          idempotent=True)
 
     def _immediate(self, value) -> Process:
         """A completed-at-now process carrying a cached value."""
@@ -463,8 +406,7 @@ class CatalogProxy:
         """Register a new logical file and its first replica (one WAN call)."""
 
         def run():
-            result = yield self._call(
-                self.catalog_host,
+            result = yield self._write(
                 "catalog.publish",
                 {
                     "site": site,
@@ -473,7 +415,6 @@ class CatalogProxy:
                     "crc": crc,
                     "lfn": lfn,
                     "attributes": attributes,
-                    "txn": self._txn(),
                 },
             )
             self.invalidate(result)
@@ -486,10 +427,9 @@ class CatalogProxy:
         registrations.  Returns the list of LFNs."""
 
         def run():
-            lfns = yield self._call(
-                self.catalog_host,
+            lfns = yield self._write(
                 "catalog.publish_bulk",
-                {"site": site, "files": files, "txn": self._txn()},
+                {"site": site, "files": files},
                 n_items=len(files),
             )
             for fresh in lfns:
@@ -504,10 +444,9 @@ class CatalogProxy:
         """Record an additional replica of a logical file."""
 
         def run():
-            result = yield self._call(
-                self.catalog_host,
+            result = yield self._write(
                 "catalog.add_replica",
-                {"lfn": lfn, "site": site, "txn": self._txn()},
+                {"lfn": lfn, "site": site},
             )
             self.invalidate(lfn)
             return result
@@ -519,10 +458,9 @@ class CatalogProxy:
         the flush of a transfer set's deferred registrations."""
 
         def run():
-            result = yield self._call(
-                self.catalog_host,
+            result = yield self._write(
                 "catalog.add_replica_bulk",
-                {"lfns": list(lfns), "site": site, "txn": self._txn()},
+                {"lfns": list(lfns), "site": site},
                 n_items=len(lfns),
             )
             for lfn in lfns:
@@ -537,10 +475,9 @@ class CatalogProxy:
         """Remove a replica record (retiring the LFN when it was the last)."""
 
         def run():
-            result = yield self._call(
-                self.catalog_host,
+            result = yield self._write(
                 "catalog.remove_replica",
-                {"lfn": lfn, "site": site, "txn": self._txn()},
+                {"lfn": lfn, "site": site},
             )
             self.invalidate(lfn)
             return result
@@ -551,10 +488,9 @@ class CatalogProxy:
         """Remove a batch of replica records in one envelope."""
 
         def run():
-            result = yield self._call(
-                self.catalog_host,
+            result = yield self._write(
                 "catalog.remove_replica_bulk",
-                {"lfns": list(lfns), "site": site, "txn": self._txn()},
+                {"lfns": list(lfns), "site": site},
                 n_items=len(lfns),
             )
             for lfn in lfns:

@@ -11,13 +11,15 @@ This module is a thin protocol profile over the shared service bus
 (:mod:`repro.services`): the server is a :class:`ServiceEndpoint` whose
 middleware chain counts operations, verifies the caller's proxy chain
 against the trusted CAs, maps the identity through the gridmap, and sheds
-deadline-expired requests; the client is a :class:`ServiceClient` that
-attaches the proxy chain to every call and maps faults/timeouts to
-:class:`RemoteError` / :class:`RequestTimeout`.
+deadline-expired requests, and applies idempotent calls exactly once;
+the client is a :class:`ServiceClient` that attaches the proxy chain to
+every call, mints the serial of each idempotent one, and maps
+faults/timeouts to :class:`RemoteError` / :class:`RequestTimeout`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
@@ -34,6 +36,7 @@ from repro.services.bus import (
 )
 from repro.services.middleware import (
     DeadlineMiddleware,
+    ExactlyOnceMiddleware,
     GsiAuthenticator,
     GsiAuthMiddleware,
     MetricsMiddleware,
@@ -116,10 +119,14 @@ class RequestServer(ServiceEndpoint):
         self.trusted_cas = trusted_cas
         self.gridmap = gridmap
         self.authenticator = GsiAuthenticator(trusted_cas, gridmap)
+        #: the exactly-once store; services register their replay
+        #: counters on it
+        self.exactly_once = ExactlyOnceMiddleware()
         middlewares = [
             ServerMonitorMiddleware(monitor),
             GsiAuthMiddleware(self.authenticator, monitor),
             DeadlineMiddleware(monitor, metrics=metrics, service=service),
+            self.exactly_once,
         ]
         if metrics is not None:
             middlewares.insert(0, MetricsMiddleware(metrics, service=service))
@@ -180,6 +187,9 @@ class RequestClient(ServiceClient):
             timeout_error=_request_timeout,
         )
         self.credential = credential
+        self._serials = itertools.count(1)
+        #: serials of the idempotent calls still in flight
+        self.in_flight: set[int] = set()
 
     def call(
         self,
@@ -188,6 +198,7 @@ class RequestClient(ServiceClient):
         payload: Any = None,
         size: int = REQUEST_MESSAGE_SIZE,
         timeout: Optional[float] = None,
+        idempotent: bool = False,
     ) -> Process:
         """Invoke ``operation`` on the GDMP server at ``server_host``.
 
@@ -195,12 +206,32 @@ class RequestClient(ServiceClient):
         message) raises :class:`RequestTimeout` after that many seconds;
         without it the call waits indefinitely (in-order FIFO delivery
         means no reply can be merely late).  The late reply of a timed-out
-        call is discarded on arrival, never misdelivered to a later call."""
-        return super().call(
-            server_host,
-            operation,
-            payload,
-            size=size,
-            timeout=timeout,
-            meta={"chain": self.credential.chain},
+        call is discarded on arrival, never misdelivered to a later call.
+
+        An ``idempotent`` call is applied at most once however often the
+        retry middleware re-sends it: it carries a serial minted here and
+        this client's floor (its lowest serial still in flight) for the
+        server's :class:`ExactlyOnceMiddleware`.  The serial leaves the
+        in-flight set however the call ends — reply, error, or the
+        process being killed."""
+        meta = {"chain": self.credential.chain}
+
+        def run():
+            serial = None
+            if idempotent:
+                serial = next(self._serials)
+                self.in_flight.add(serial)
+                meta["serial"] = serial
+                meta["floor"] = min(self.in_flight)
+            try:
+                outcome = yield from self.invoke(
+                    server_host, operation, payload,
+                    size=size, timeout=timeout, meta=meta,
+                )
+            finally:
+                self.in_flight.discard(serial)
+            return outcome.payload
+
+        return self.sim.spawn(
+            run(), name=f"{self.service}-call {operation}@{server_host}"
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.gridftp.client import GridFTPClient, TransferError, TransferResult
+from repro.gridftp.client import GridFTPClient, TransferError
 from repro.simulation.kernel import Process
 
 __all__ = ["GridFTPUrl", "parse_url", "globus_url_copy"]

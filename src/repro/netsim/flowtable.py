@@ -35,7 +35,7 @@ import os
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.netsim.engine import Flow, SharedBytePool
+    from repro.netsim.engine import SharedBytePool
     from repro.netsim.link import Link
 
 try:

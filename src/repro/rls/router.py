@@ -519,8 +519,7 @@ class RlsCatalogProxy(CatalogProxy):
         def run():
             info = yield self.info(lfn)  # warm from the replicate read
             self.stats["adoptions"] += 1
-            result = yield self._call(
-                self.catalog_host,
+            result = yield self._write(
                 "catalog.adopt",
                 {
                     "lfn": lfn,
@@ -529,7 +528,6 @@ class RlsCatalogProxy(CatalogProxy):
                     "modified": info.modified,
                     "crc": info.crc,
                     "attributes": info.attributes,
-                    "txn": self._txn(),
                 },
             )
             self.invalidate(lfn)
@@ -553,10 +551,9 @@ class RlsCatalogProxy(CatalogProxy):
                 for info in infos
             ]
             self.stats["adoptions"] += len(files)
-            result = yield self._call(
-                self.catalog_host,
+            result = yield self._write(
                 "catalog.adopt_bulk",
-                {"files": files, "site": site, "txn": self._txn()},
+                {"files": files, "site": site},
                 n_items=len(files),
             )
             for lfn in lfns:

@@ -15,7 +15,7 @@ union over the per-site LRC backends, read directly in memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from ..simulation.kernel import Interrupt, Process, Simulator
 from ..gdmp.request_manager import REQUEST_MESSAGE_SIZE, RequestClient

@@ -16,13 +16,15 @@ each implemented privately:
   already passed before dispatch (the caller has given up; doing the work
   would only waste simulated server time);
 * :class:`MetricsMiddleware` — per-operation RPC latency histograms and
-  outcome counters in a :class:`~repro.telemetry.metrics.MetricsRegistry`.
+  outcome counters in a :class:`~repro.telemetry.metrics.MetricsRegistry`;
+* :class:`ExactlyOnceMiddleware` — apply each idempotent call once and
+  replay its result to transport retries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 from repro.security.ca import CertificateAuthority, CertificateError, verify_chain
 from repro.security.gridmap import AuthorizationError, GridMap
@@ -36,6 +38,7 @@ __all__ = [
     "ServerMonitorMiddleware",
     "DeadlineMiddleware",
     "MetricsMiddleware",
+    "ExactlyOnceMiddleware",
 ]
 
 
@@ -179,4 +182,79 @@ class MetricsMiddleware:
                 service=self.service,
                 operation=request.operation,
             ).observe(request.sim.now - start)
+        return result
+
+
+class ExactlyOnceMiddleware:
+    """Apply each idempotent call once; replay its result to retries.
+
+    An idempotent call (``RequestClient.call(..., idempotent=True)``)
+    carries two numbers in ``request.meta``: its ``serial``, minted once
+    per logical call and reused by every retry, and the client's
+    ``floor``, the lowest serial it still has in flight.  Records are
+    keyed on (caller host, reply service, serial):
+
+    * a serial with a record gets the stored result back, counted under
+      the counter its operation family registered via
+      :meth:`count_replays`;
+    * a floor above the caller's last one drops every record below it —
+      the client will never re-send those serials;
+    * a serial below the floor with no record is a stale duplicate (its
+      caller already has its answer, or gave up on it): it is answered
+      with a non-retryable error and not applied.
+
+    This is RIFL's "first incomplete sequence number" (Lee et al., SOSP
+    2015).  No time window is involved: message delays are fixed at send
+    time, so a delayed duplicate can land after any window has expired,
+    while the floor needs no clock.  Each caller's records span at most
+    the serials between its oldest in-flight call and its newest landed
+    one.  Only successful results are recorded, so a write that failed
+    stays retryable.  Sits innermost, after auth and deadline shedding.
+
+    The lookup and the record bracket the handler, so a handler behind
+    an idempotent call must complete without yielding: one that held the
+    clock would let a retry pass the lookup and apply the write twice
+    (``tests/services/test_idempotent_handlers.py`` drives each one).
+    """
+
+    def __init__(self):
+        #: (caller host, reply service) -> serial -> recorded result
+        self.records: dict[tuple[str, str], dict[int, Any]] = {}
+        #: (caller host, reply service) -> highest floor seen
+        self.floors: dict[tuple[str, str], int] = {}
+        self._replay_counters: dict[str, tuple] = {}
+
+    def count_replays(self, family: str, name: str, metrics) -> None:
+        """Count replays of ``{family}.*`` operations as counter ``name``
+        in ``metrics`` (``None``: not counted)."""
+        self._replay_counters[family] = (metrics, name)
+
+    def __call__(self, request: ServiceRequest, call_next):
+        if "serial" not in request.meta:
+            return call_next(request)       # not idempotent: no extra stage
+        return self._once(request, call_next)
+
+    def _once(self, request: ServiceRequest, call_next):
+        serial = request.meta["serial"]
+        caller = (request.caller_host, request.reply_service)
+        records = self.records.setdefault(caller, {})
+        floor = self.floors.get(caller, 0)
+        if request.meta["floor"] > floor:
+            floor = self.floors[caller] = request.meta["floor"]
+            for done in [s for s in records if s < floor]:
+                del records[done]
+        if serial in records:
+            metrics, name = self._replay_counters.get(
+                request.operation.split(".", 1)[0], (None, "")
+            )
+            if metrics is not None:
+                metrics.counter(name).inc()
+            return records[serial]
+        if serial < floor:
+            raise ServiceError(
+                f"{request.operation}: stale duplicate of call {serial} "
+                f"(caller floor {floor})"
+            )
+        result = yield from call_next(request)
+        records[serial] = result
         return result

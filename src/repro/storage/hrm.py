@@ -14,7 +14,7 @@ from typing import Optional
 
 from repro.simulation.kernel import Event, Simulator
 from repro.storage.diskpool import DiskPool
-from repro.storage.filesystem import StorageError, StoredFile
+from repro.storage.filesystem import StorageError
 from repro.storage.mss import MassStorageSystem, TapeError
 
 __all__ = ["StageStatus", "HierarchicalResourceManager"]

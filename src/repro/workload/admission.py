@@ -22,7 +22,7 @@ sim clock.  The fairness tests pin the drain order per seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["TokenBucket", "FairShareAdmission", "VOQueueStats"]

@@ -21,8 +21,7 @@ stream is a pure function of (seed, profile).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.workload.admission import FairShareAdmission, TokenBucket
 

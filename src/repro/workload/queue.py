@@ -14,11 +14,13 @@ shape).  This module provides the queue in three layers:
   claim/inspection time, purely from the sim clock.
 * :class:`TaskQueueService` — the bus half: ``task.*`` operations
   registered on a :class:`~repro.gdmp.request_manager.RequestServer`
-  (next to the ``catalog.*`` operations), every write idempotent under
-  transport retries via the same ``txn`` replay scheme the catalog uses.
-  Lease deadlines therefore compose with the resilience middleware: a
-  retried ``claim`` replays the original claim instead of double-claiming,
-  and a retried ``complete`` replays the stored verdict.
+  (next to the ``catalog.*`` operations).  Every write is an idempotent
+  call, applied once by the request server's
+  :class:`~repro.services.middleware.ExactlyOnceMiddleware` like the
+  catalog's writes.  Lease deadlines therefore compose with the
+  resilience middleware: a retried ``claim`` replays the original claim
+  instead of double-claiming, and a retried ``complete`` replays the
+  stored verdict.
 * :class:`TaskQueueProxy` — the site-side client: each method returns a
   :class:`~repro.simulation.kernel.Process` for one authenticated round
   trip, with envelope sizes scaled per item like the bulk catalog ops.
@@ -33,13 +35,12 @@ catalog registration, keyed task submission).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.gdmp.request_manager import (
     REQUEST_MESSAGE_SIZE,
     AuthenticatedRequest,
-    GdmpError,
     RequestClient,
     RequestServer,
 )
@@ -312,10 +313,10 @@ class TaskQueueService:
     """``task.*`` operations hosted on a site's request server.
 
     Lives next to the ``catalog.*`` handlers on the same authenticated
-    bus endpoint; every mutating operation accepts a client-minted
-    ``txn`` and replays the stored result on retry, exactly like the
-    catalog's write plumbing — so the retry middleware can safely
-    re-issue a claim or completion whose reply was lost.
+    bus endpoint.  The proxy sends every mutating operation as an
+    idempotent call, so the server's exactly-once middleware replays the
+    stored result to a retry — the retry middleware can safely re-issue
+    a claim or completion whose reply was lost.
     """
 
     def __init__(self, server: RequestServer,
@@ -329,7 +330,9 @@ class TaskQueueService:
         )
         self.server = server
         self.metrics = metrics
-        self._applied: dict[str, object] = {}
+        server.exactly_once.count_replays(
+            "task", "workload.txn_replays", metrics
+        )
         for op in ("submit", "submit_bulk", "claim", "renew", "complete",
                    "fail", "counts"):
             server.register(f"task.{op}", getattr(self, f"_op_{op}"))
@@ -360,35 +363,18 @@ class TaskQueueService:
             self.queue.stats.stale_ops
         )
 
-    # -- txn replay plumbing ---------------------------------------------
-    def _seen(self, payload) -> tuple[Optional[str], bool]:
-        txn = payload.get("txn") if isinstance(payload, dict) else None
-        if txn is not None and txn in self._applied:
-            if self.metrics is not None:
-                self.metrics.counter("workload.txn_replays").inc()
-            return txn, True
-        return txn, False
-
     # -- handlers ---------------------------------------------------------
     def _op_submit(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._seen(p)
-        if seen:
-            return self._applied[txn]
         task_id = self.queue.submit(
             p["type"], p["site"], p.get("payload") or {}, key=p.get("key")
         )
         self._count("submitted", p["type"])
-        if txn is not None:
-            self._applied[txn] = task_id
         return task_id
         yield  # pragma: no cover - generator marker
 
     def _op_submit_bulk(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._seen(p)
-        if seen:
-            return self._applied[txn]
         ids = []
         for item in p["tasks"]:
             ids.append(self.queue.submit(
@@ -396,16 +382,11 @@ class TaskQueueService:
                 key=item.get("key"),
             ))
             self._count("submitted", item["type"])
-        if txn is not None:
-            self._applied[txn] = ids
         return ids
         yield  # pragma: no cover
 
     def _op_claim(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._seen(p)
-        if seen:
-            return self._applied[txn]
         now = self.server.sim.now
         tasks = self.queue.claim(
             p["worker"], p["type"], p["site"],
@@ -417,30 +398,18 @@ class TaskQueueService:
                 self._observe_age(
                     "claim_age", task.type, now - task.submitted_at
                 )
-        result = [task.public() for task in tasks]
-        if txn is not None:
-            self._applied[txn] = result
-        return result
+        return [task.public() for task in tasks]
         yield  # pragma: no cover
 
     def _op_renew(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._seen(p)
-        if seen:
-            return self._applied[txn]
-        deadline = self.queue.renew(
+        return self.queue.renew(
             p["task_id"], p["claim_token"], lease=p.get("lease")
         )
-        if txn is not None:
-            self._applied[txn] = deadline
-        return deadline
         yield  # pragma: no cover
 
     def _op_complete(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._seen(p)
-        if seen:
-            return self._applied[txn]
         task = self.queue.tasks.get(p["task_id"])
         ok = self.queue.complete(
             p["task_id"], p["claim_token"], result=p.get("result")
@@ -453,16 +422,11 @@ class TaskQueueService:
             )
         elif task is not None:
             self._count("stale", task.type)
-        if txn is not None:
-            self._applied[txn] = ok
         return ok
         yield  # pragma: no cover
 
     def _op_fail(self, request: AuthenticatedRequest):
         p = request.payload
-        txn, seen = self._seen(p)
-        if seen:
-            return self._applied[txn]
         task = self.queue.tasks.get(p["task_id"])
         state = self.queue.fail(
             p["task_id"], p["claim_token"],
@@ -476,8 +440,6 @@ class TaskQueueService:
                 self._count("failed", task.type)
                 if state == "dead":
                     self._count("dead", task.type)
-        if txn is not None:
-            self._applied[txn] = state
         return state
         yield  # pragma: no cover
 
@@ -493,33 +455,30 @@ class TaskQueueProxy:
         self.client = client
         self.queue_host = queue_host
 
-    def _txn(self) -> str:
-        sim = self.client.sim
-        return f"{self.client.host.name}:{sim.next_serial('workload-txn')}"
-
     def _call(self, operation: str, payload: dict,
-              n_items: int = 0) -> Process:
+              n_items: int = 0, idempotent: bool = False) -> Process:
         return self.client.call(
             self.queue_host,
             operation,
             payload,
             size=REQUEST_MESSAGE_SIZE + TASK_ITEM_SIZE * n_items,
+            idempotent=idempotent,
         )
 
     def submit(self, type: str, site: str, payload: dict,
                key: Optional[str] = None) -> Process:
         return self._call("task.submit", {
             "type": type, "site": site, "payload": payload, "key": key,
-            "txn": self._txn(),
-        })
+        }, idempotent=True)
 
     def submit_bulk(self, tasks: list[dict]) -> Process:
         """Enqueue a batch in one envelope.  Each item: ``type``,
         ``site``, ``payload``, optional ``key``."""
         return self._call(
             "task.submit_bulk",
-            {"tasks": list(tasks), "txn": self._txn()},
+            {"tasks": list(tasks)},
             n_items=len(tasks),
+            idempotent=True,
         )
 
     def claim(self, worker: str, type: str, site: str, *,
@@ -528,31 +487,31 @@ class TaskQueueProxy:
             "task.claim",
             {
                 "worker": worker, "type": type, "site": site,
-                "limit": limit, "lease": lease, "txn": self._txn(),
+                "limit": limit, "lease": lease,
             },
             n_items=limit,
+            idempotent=True,
         )
 
     def renew(self, task_id: int, claim_token: int,
               lease: Optional[float] = None) -> Process:
         return self._call("task.renew", {
             "task_id": task_id, "claim_token": claim_token, "lease": lease,
-            "txn": self._txn(),
-        })
+        }, idempotent=True)
 
     def complete(self, task_id: int, claim_token: int,
                  result=None) -> Process:
         return self._call("task.complete", {
             "task_id": task_id, "claim_token": claim_token,
-            "result": result, "txn": self._txn(),
-        })
+            "result": result,
+        }, idempotent=True)
 
     def fail(self, task_id: int, claim_token: int, error: str = "",
              retryable: bool = True) -> Process:
         return self._call("task.fail", {
             "task_id": task_id, "claim_token": claim_token,
-            "error": error, "retryable": retryable, "txn": self._txn(),
-        })
+            "error": error, "retryable": retryable,
+        }, idempotent=True)
 
     def counts(self) -> Process:
         return self._call("task.counts", {})

@@ -2,7 +2,7 @@
 
 Covers the DFS-style write path (init -> per-chunk STOR + CKSM ->
 commit), content-address dedup, the 553 "file exists" race in both its
-benign and hostile forms, txn-idempotent commits, ranked failover on
+benign and hostile forms, exactly-once commits, ranked failover on
 the read path, and staging-debris hygiene.
 """
 
@@ -16,7 +16,6 @@ from repro.chunks import (
     chunk_path,
 )
 from repro.gdmp import DataGrid, GdmpConfig
-from repro.gdmp.request_manager import AuthenticatedRequest
 
 SITES = ["hub", "s1", "s2", "s3"]
 SIZE = 9_000_000.0
@@ -137,32 +136,37 @@ def test_squatter_with_wrong_content_is_evicted_and_replaced(grid, runtime):
     assert stored.content_id == chunk_content_id(cid)
 
 
-# -- txn idempotency ------------------------------------------------------
+# -- replay through the exactly-once middleware --------------------------
 
-def _drive(handler, payload):
-    gen = handler(AuthenticatedRequest(
-        "op", payload, "test-host", "s", "id", "acct"
-    ))
-    try:
-        next(gen)
-    except StopIteration as stop:
-        return stop.value
-    raise AssertionError("directory handlers must not yield")
+def _send(grid, operation, payload, serial):
+    """One idempotent ``chunk.*`` request from s1 to the directory on
+    hub, with its serial pinned so a test can re-send the same call the
+    way the retry middleware does."""
+    client = grid.site("s1").request_client
+    meta = {"chain": client.credential.chain, "serial": serial, "floor": 1}
+
+    def run():
+        outcome = yield from client.invoke(
+            "hub", operation, payload, meta=meta
+        )
+        return outcome.payload
+
+    return grid.run(until=grid.sim.spawn(run()))
 
 
 def test_replayed_commit_returns_stored_verdict(grid, runtime):
     directory = runtime.directory
     manifest, targets, needed = directory.init("obj", SIZE, "key-1", K, M)
     placements = [[cid, targets[cid]] for cid in needed]
-    payload = {"object": "obj", "placements": placements, "txn": "host:1"}
-    first = _drive(runtime.service._op_commit, payload)
-    replay = _drive(runtime.service._op_commit, payload)
+    payload = {"object": "obj", "placements": placements}
+    first = _send(grid, "chunk.commit", payload, serial=1)
+    replay = _send(grid, "chunk.commit", payload, serial=1)
     assert replay is first                  # stored verdict, not recomputed
     assert first["first_commit"] is True
     assert directory.stats.commits == 1
     assert directory.stats.recommits == 0   # replay never re-applied
-    # a *fresh* txn for the same object is a recommit, not a double count
-    retry = _drive(runtime.service._op_commit, {**payload, "txn": "host:2"})
+    # a *fresh* serial for the same object is a recommit, not a double count
+    retry = _send(grid, "chunk.commit", payload, serial=2)
     assert retry["first_commit"] is False
     assert directory.stats.commits == 1
     assert directory.stats.recommits == 1
@@ -180,10 +184,9 @@ def test_replayed_repair_done_applies_once(grid, runtime):
         "object": "obj",
         "repaired": [[cid, "s3"]],
         "removed": [[cid, holder]],
-        "txn": "fixer:1",
     }
-    first = _drive(runtime.service._op_repair_done, payload)
-    replay = _drive(runtime.service._op_repair_done, payload)
+    first = _send(grid, "chunk.repair_done", payload, serial=1)
+    replay = _send(grid, "chunk.repair_done", payload, serial=1)
     assert replay is first
     assert directory.stats.repairs == 1
     assert directory.locations[cid] == {"s3"}

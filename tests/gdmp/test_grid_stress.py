@@ -10,7 +10,7 @@ CRC-faithful, and no pins or reservations may leak.
 import pytest
 
 from repro.gdmp import DataGrid, GdmpConfig
-from repro.netsim.units import GB, MB
+from repro.netsim.units import MB
 from repro.workloads import ProductionRun
 
 

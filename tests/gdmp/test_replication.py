@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.gdmp import DataMoverError, RemoteError
+from repro.gdmp import RemoteError
 from repro.gdmp.request_manager import GdmpError
 from repro.netsim.units import KiB, MB
 from repro.objectdb import DatabaseFile
@@ -209,7 +209,6 @@ def test_successful_replication_consumes_reservation(grid):
 
 def test_replication_to_full_site_fails_cleanly(grid):
     from repro.gdmp import GdmpConfig, DataGrid
-    from repro.netsim.units import GB
 
     small_grid = DataGrid(
         [GdmpConfig("cern"), GdmpConfig("anl", disk_capacity=5 * MB)]

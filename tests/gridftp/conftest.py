@@ -3,7 +3,7 @@
 import pytest
 
 from repro.gridftp import GridFTPClient, GridFTPServer
-from repro.netsim import TestbedParams, cern_anl_testbed
+from repro.netsim import cern_anl_testbed
 from repro.netsim.channels import MessageNetwork
 from repro.netsim.units import GB, MB
 from repro.security import CertificateAuthority, GridMap, new_user_credential

@@ -304,8 +304,6 @@ def test_rest_applies_to_one_transfer_only(grid):
 
 
 def test_stor_without_space_rejected(grid):
-    from repro.storage import FileSystem
-
     grid.fs["anl"].create("/local/huge", 9 * MB)
     # shrink the server's free space by filling it
     free = grid.fs["cern"].free

@@ -7,7 +7,6 @@ from repro.gridftp import GridFTPClient, GridFTPServer, TransferError
 from repro.netsim.channels import MessageNetwork
 from repro.netsim.engine import NetworkEngine
 from repro.netsim.link import Link
-from repro.netsim.tcp import TcpParams
 from repro.netsim.topology import Host, Topology
 from repro.netsim.units import GB, KiB, MB, mbps
 from repro.security import CertificateAuthority, GridMap, new_user_credential

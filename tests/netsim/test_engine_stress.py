@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netsim import TcpParams, TestbedParams, cern_anl_testbed, to_mbps
+from repro.netsim import TcpParams, TestbedParams, cern_anl_testbed
 from repro.netsim.units import KiB, MB, mbps
 
 

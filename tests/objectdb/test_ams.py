@@ -8,7 +8,6 @@ from repro.netsim.topology import Host, Topology
 from repro.netsim.units import mbps
 from repro.objectdb import Federation
 from repro.objectdb.ams import AmsPageServer, RemoteObjectReader
-from repro.objectdb.persistency import PAGE_SIZE
 from repro.simulation import Simulator
 
 

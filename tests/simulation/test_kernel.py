@@ -3,7 +3,6 @@
 import pytest
 
 from repro.simulation import (
-    Event,
     Interrupt,
     SimulationError,
     Simulator,

@@ -2,7 +2,6 @@
 
 import io
 import runpy
-import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 

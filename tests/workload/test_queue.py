@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gdmp.request_manager import AuthenticatedRequest
+from repro.gdmp import DataGrid, GdmpConfig
 from repro.simulation.kernel import Simulator
 from repro.workload.queue import TaskQueue, TaskQueueService
 
@@ -17,32 +17,33 @@ def queue(sim):
     return TaskQueue(sim, default_lease=30.0, max_attempts=3)
 
 
-class StubServer:
-    """Just enough RequestServer surface for TaskQueueService."""
-
-    def __init__(self, sim):
-        self.sim = sim
-        self.ops = {}
-
-    def register(self, operation, handler):
-        self.ops[operation] = handler
+@pytest.fixture
+def grid():
+    return DataGrid([GdmpConfig("cern"), GdmpConfig("anl")])
 
 
-def call(service, op, payload):
-    """Drive one queue handler to completion (they never yield)."""
-    gen = service.server.ops[f"task.{op}"](
-        AuthenticatedRequest(op, payload, "test-host", "s", "id", "acct")
-    )
-    try:
-        next(gen)
-    except StopIteration as stop:
-        return stop.value
-    raise AssertionError("queue handlers must complete without yielding")
+def call(grid, op, payload, serial=None):
+    """One ``task.*`` request from anl to the queue on cern's request
+    server.  ``serial`` pins the idempotent-call serial, so a test can
+    re-send the same call the way the retry middleware does."""
+    client = grid.site("anl").request_client
+    meta = {"chain": client.credential.chain}
+    if serial is not None:
+        meta.update(serial=serial, floor=1)
+
+    def run():
+        outcome = yield from client.invoke(
+            "cern", f"task.{op}", payload, meta=meta
+        )
+        return outcome.payload
+
+    return grid.run(until=grid.sim.spawn(run()))
 
 
 @pytest.fixture
-def service(sim):
-    return TaskQueueService(StubServer(sim), default_lease=30.0,
+def service(grid):
+    return TaskQueueService(grid.site("cern").request_server,
+                            metrics=grid.metrics, default_lease=30.0,
                             max_attempts=3)
 
 
@@ -156,41 +157,42 @@ def test_fingerprint_is_stable_and_covers_every_task(queue):
     assert "xfer@anl" in fp and "verify@anl" in fp and "k1" in fp
 
 
-# -- TaskQueueService txn idempotency --------------------------------------
+# -- TaskQueueService replay through the exactly-once middleware ---------
 
-def test_submit_txn_replays_instead_of_duplicating(service):
-    payload = {"type": "xfer", "site": "anl", "payload": {}, "txn": "h:1"}
-    first = call(service, "submit", payload)
-    second = call(service, "submit", payload)
+def test_submit_txn_replays_instead_of_duplicating(grid, service):
+    payload = {"type": "xfer", "site": "anl", "payload": {}}
+    first = call(grid, "submit", payload, serial=1)
+    second = call(grid, "submit", payload, serial=1)
     assert first == second
     assert service.queue.stats.submitted == 1
+    assert grid.metrics.value("workload.txn_replays") == 1
 
 
-def test_claim_txn_replay_does_not_double_claim(service):
+def test_claim_txn_replay_does_not_double_claim(grid, service):
     for i in range(2):
-        call(service, "submit",
+        call(grid, "submit",
              {"type": "xfer", "site": "anl", "payload": {"n": i}})
     claim = {"worker": "w", "type": "xfer", "site": "anl",
-             "limit": 1, "lease": None, "txn": "h:2"}
-    first = call(service, "claim", claim)
-    replay = call(service, "claim", claim)
+             "limit": 1, "lease": None}
+    first = call(grid, "claim", claim, serial=2)
+    replay = call(grid, "claim", claim, serial=2)
     assert replay == first           # same task, same token
     assert len(first) == 1
-    # a *fresh* txn claims the next task, proving the queue still moves
-    other = call(service, "claim", dict(claim, txn="h:3"))
+    # a *fresh* serial claims the next task, proving the queue still moves
+    other = call(grid, "claim", claim, serial=3)
     assert other[0]["task_id"] != first[0]["task_id"]
 
 
-def test_complete_txn_replay_returns_stored_verdict(service):
-    call(service, "submit", {"type": "xfer", "site": "anl", "payload": {}})
-    [task] = call(service, "claim", {
+def test_complete_txn_replay_returns_stored_verdict(grid, service):
+    call(grid, "submit", {"type": "xfer", "site": "anl", "payload": {}})
+    [task] = call(grid, "claim", {
         "worker": "w", "type": "xfer", "site": "anl",
-        "limit": 1, "lease": None, "txn": "h:4",
-    })
+        "limit": 1, "lease": None,
+    }, serial=4)
     done = {"task_id": task["task_id"], "claim_token": task["claim_token"],
-            "result": {"ok": 1}, "txn": "h:5"}
-    assert call(service, "complete", done) is True
+            "result": {"ok": 1}}
+    assert call(grid, "complete", done, serial=5) is True
     # the retry of a completion whose reply was lost replays True — it
     # does not become a stale-token False
-    assert call(service, "complete", done) is True
+    assert call(grid, "complete", done, serial=5) is True
     assert service.queue.stats.completed == 1

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 tests, the determinism record, an engine microbench
-# smoke run, the telemetry exporter smoke gate, the chaos fault-injection
-# gate, the workload standing-pipeline gate, and (when available) ruff.
+# CI gate: tier-1 tests, the benchmark's own tests (recorded digests),
+# the determinism record, an engine microbench smoke run, the telemetry
+# exporter smoke gate, the chaos fault-injection gate, the workload
+# standing-pipeline gate, the per-plane smoke gates, and the unused-import
+# lint (plus ruff when it is installed).
 #
 #   tools/ci_check.sh
 #
@@ -13,6 +15,9 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
+
+echo "== benchmark tests: recorded digests, tracer parity =="
+python -m pytest -q perfbench/tests
 
 echo "== determinism: figure5/figure6 vs recorded seed outputs =="
 python -m pytest -x -q tests/experiments/test_recorded_determinism.py
@@ -64,11 +69,12 @@ python tools/chunks_smoke.py
 python benchmarks/bench_chunks.py --smoke > /dev/null
 python tools/perf_report.py --chunks --smoke --output - > /dev/null
 
+echo "== lint: unused imports =="
+python tools/check_imports.py src tests benchmarks tools
+
 if command -v ruff > /dev/null 2>&1; then
     echo "== ruff =="
     ruff check src tests benchmarks tools
-else
-    echo "== ruff not installed; skipping lint =="
 fi
 
 echo "ci_check: all gates passed"

@@ -21,7 +21,6 @@ Usage:  PYTHONPATH=src python tools/telemetry_smoke.py
 from __future__ import annotations
 
 import json
-import sys
 
 from repro.gdmp import DataGrid, GdmpConfig
 from repro.netsim.units import MB
