@@ -15,7 +15,7 @@ Measures both halves of the chunk stack's durability claim:
   drains clean, and — the headline — chunked repair moves fewer bytes
   than whole-file re-replication.  The recorded ``repair_savings`` on
   the ``site_wipe`` leg ((k+L)/k object-sizes vs L whole objects) is
-  floor-gated by ``tools/perf_report.py --chunks``.
+  floor-gated by the ``chunks`` row of ``tools/gates.py``.
 
 Run standalone::
 
@@ -147,7 +147,7 @@ def run_bench(smoke: bool = False) -> dict:
 def test_chunks_scale(once):
     result = once(run_bench, smoke=True)
 
-    # order-of-magnitude guards; perf_report holds the recorded floors
+    # order-of-magnitude guards; tools/gates.py holds the recorded floors
     assert result["coder"]["encode_mb_s"] > 1.0
     assert result["coder"]["decode_mb_s"] > 1.0
     # the headline: chunked repair beats whole-file re-replication

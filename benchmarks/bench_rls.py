@@ -16,7 +16,7 @@ catalog it replaces, on real data structures at full population:
   single-stream rate times the site count.  The recorded
   ``aggregate_speedup`` (vs the central single-stream rate at *equal
   total entry count*) must stay >= 8x at 10 sites — the acceptance
-  floor, gated by ``tools/perf_report.py --rls``;
+  floor, gated by the ``rls`` row of ``tools/gates.py``;
 * **index quality** — measured bloom false-positive rate over LFNs the
   probed site does not hold (each one costs a wasted verify RPC), and
   the digest compression ratio against shipping exact LFN deltas;

@@ -15,7 +15,7 @@ Measures both halves of the observatory's contract:
   completion time under the diurnal congestion peak, every measured
   transfer completes, and the post-peak wave still selects on history.
   The recorded ``improvement`` (static mean / smart mean) is the
-  headline number, floor-gated by ``tools/perf_report.py --weather`` —
+  headline number, floor-gated by ``tools/gates.py weather`` —
   the gate that keeps future selection changes honest;
 * **degradation leg** — EXP-WEATHER under the ``weather_blackhole``
   campaign must converge too: the black-holed weather plane forces
@@ -204,7 +204,7 @@ def test_weather_scale(once):
     result = once(run_bench, smoke=True)
 
     # the observation plane must be cheap enough to tail every transfer
-    # retirement (order-of-magnitude guards; perf_report holds the
+    # retirement (order-of-magnitude guards; tools/gates.py holds the
     # recorded floors)
     assert result["station"]["observations_per_s"] > 10_000
     assert result["station"]["predictions_per_s"] > 10_000

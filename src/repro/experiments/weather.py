@@ -39,7 +39,7 @@ congested backbone.  The experiment asserts:
 ``python -m repro.experiments weather --seed=11`` runs it;
 ``--campaign=weather_blackhole|link_flap|crash_restart`` arms chaos.
 The wall-clock leg lives in ``benchmarks/bench_weather.py`` (recorded
-in BENCH_weather.json, floor-gated by ``tools/perf_report.py``).
+in BENCH_weather.json, floor-gated by ``tools/gates.py weather``).
 """
 
 from __future__ import annotations

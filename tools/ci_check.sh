@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 tests, the benchmark's own tests (recorded digests),
-# the determinism record, an engine microbench smoke run, the telemetry
-# exporter smoke gate, the chaos fault-injection gate, the workload
-# standing-pipeline gate, the per-plane smoke gates, and the unused-import
-# lint (plus ruff when it is installed).
+# CI gate: tier-1 tests, the benchmark's own tests (recorded digests), the
+# paper-shape benches, every plane's gates (tools/gates.py: back-to-back
+# determinism, convergence under each fault campaign, bench floors and
+# hard bounds), and the unused-import lint (plus ruff when it is
+# installed).
 #
 #   tools/ci_check.sh
 #
-# Exits non-zero on the first failure.
+# Exits non-zero on the first failing step; gate failures are printed to
+# stderr with the row, leg, check, measured value and bound.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -19,55 +20,11 @@ python -m pytest -x -q
 echo "== benchmark tests: recorded digests, tracer parity =="
 python -m pytest -q perfbench/tests
 
-echo "== determinism: figure5/figure6 vs recorded seed outputs =="
-python -m pytest -x -q tests/experiments/test_recorded_determinism.py
+echo "== paper-shape benches =="
+python -m pytest -q benchmarks
 
-echo "== determinism: back-to-back simulations in one process =="
-python tools/determinism_check.py
-
-echo "== engine microbench (smoke) =="
-python benchmarks/bench_engine_microbench.py --smoke > /dev/null
-python tools/perf_report.py --smoke --output - > /dev/null
-
-echo "== telemetry: exporter shape + determinism (smoke) =="
-python tools/telemetry_smoke.py
-python tools/perf_report.py --telemetry --smoke --output - > /dev/null
-
-echo "== netsim kernels: vector-vs-scalar differential =="
-python -m pytest -x -q tests/netsim/test_vector_scalar_differential.py
-
-echo "== flow scale (smoke) + regression gate =="
-python benchmarks/bench_flow_scale.py --smoke > /dev/null
-python tools/perf_report.py --flow-scale --smoke --output - > /dev/null
-
-echo "== catalog: indexed-vs-naive differential =="
-python -m pytest -x -q tests/catalog/test_search_differential.py
-
-echo "== catalog scale (smoke) + regression gate =="
-python benchmarks/bench_catalog_scale.py --smoke > /dev/null
-python tools/perf_report.py --catalog --smoke --output - > /dev/null
-
-echo "== chaos: fault-injection convergence + determinism (smoke) =="
-python tools/chaos_smoke.py
-
-echo "== workload: standing-pipeline convergence + determinism (smoke) =="
-python tools/workload_smoke.py
-python benchmarks/bench_workload.py --smoke > /dev/null
-python tools/perf_report.py --workload --smoke --output - > /dev/null
-
-echo "== rls: two-tier location convergence + determinism (smoke) =="
-python tools/rls_smoke.py
-python benchmarks/bench_rls.py --smoke > /dev/null
-python tools/perf_report.py --rls --smoke --output - > /dev/null
-
-echo "== weather: selection quality + degradation + determinism (smoke) =="
-python tools/weather_smoke.py
-python tools/perf_report.py --weather --smoke --output - > /dev/null
-
-echo "== chunks: erasure-coded durability + repair economics (smoke) =="
-python tools/chunks_smoke.py
-python benchmarks/bench_chunks.py --smoke > /dev/null
-python tools/perf_report.py --chunks --smoke --output - > /dev/null
+echo "== gates: every plane (smoke) =="
+python tools/gates.py --smoke
 
 echo "== lint: unused imports =="
 python tools/check_imports.py src tests benchmarks tools
